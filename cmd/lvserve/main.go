@@ -92,8 +92,8 @@
 // serves its own telemetry at GET /v1/metrics in Prometheus text
 // form: per-route request counts and sketch-backed latency quantiles,
 // peer-RPC latency, breaker transitions, hint queue depth and drain
-// rate, anti-entropy progress, fit single-flight outcomes and quorum
-// shortfalls. Every request carries a Lvserve-Trace-Id (the caller's,
+// rate, anti-entropy progress, fit and policy-table computes
+// (computed, cached or error) and quorum shortfalls. Every request carries a Lvserve-Trace-Id (the caller's,
 // or a fresh one) that is echoed on the response, propagated across
 // every peer hop, and stamped on each access-log line — grep one id
 // across the fleet's logs to see a request's whole fan-out.

@@ -57,14 +57,20 @@ type Options struct {
 
 // Outcome describes a completed multi-walk run.
 type Outcome struct {
-	// Winner is the index of the first successful walker.
+	// Winner is the index of the first successful walker in the
+	// iteration metric: of the walkers that solved, the one with the
+	// fewest iterations (lowest index on a tie).
 	Winner int
 	// Iterations is the winner's iteration count — one draw of Z(n)
-	// in the iteration metric.
+	// in the iteration metric. It does not depend on which walker the
+	// scheduler let finish first: every walker that solved before the
+	// kill reached it competes, so on an oversubscribed host Z(n) is
+	// still the min over them (a walker cancelled before it solved is
+	// not known to have been faster and does not compete).
 	Iterations int64
-	// Wall is the elapsed wall-clock time of the whole run — one draw
-	// of Z(n) in the time metric (meaningful only when walkers ≤
-	// physical cores, as in the paper's cluster).
+	// Wall is the elapsed wall-clock time until the first solution
+	// arrived — one draw of Z(n) in the time metric (meaningful only
+	// when walkers ≤ physical cores, as in the paper's cluster).
 	Wall time.Duration
 	// TotalIterations sums the work of all walkers, winners and
 	// losers, measuring the parallel scheme's total effort.
@@ -73,7 +79,8 @@ type Outcome struct {
 
 // Run executes opt.Walkers concurrent walkers and returns the
 // winner's outcome; losing walkers are cancelled as soon as the first
-// solution arrives (the "kill" of Definition 2).
+// solution arrives (the "kill" of Definition 2). Walkers that solved
+// before the kill reached them compete with the first on iterations.
 func Run(ctx context.Context, runner Runner, opt Options) (Outcome, error) {
 	if runner == nil {
 		return Outcome{}, errors.New("multiwalk: nil runner")
@@ -107,11 +114,17 @@ func Run(ctx context.Context, runner Runner, opt Options) (Outcome, error) {
 	out := Outcome{Winner: -1}
 	for rep := range results {
 		out.TotalIterations += rep.res.Iterations
-		if rep.res.Solved && out.Winner == -1 {
-			out.Winner = rep.walker
-			out.Iterations = rep.res.Iterations
+		if !rep.res.Solved {
+			continue
+		}
+		if out.Winner == -1 {
 			out.Wall = time.Since(start)
 			cancel() // kill the losers
+		}
+		if out.Winner == -1 || rep.res.Iterations < out.Iterations ||
+			(rep.res.Iterations == out.Iterations && rep.walker < out.Winner) {
+			out.Winner = rep.walker
+			out.Iterations = rep.res.Iterations
 		}
 	}
 	if out.Winner == -1 {

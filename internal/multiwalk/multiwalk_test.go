@@ -87,6 +87,35 @@ func TestRunMoreWalkersNotSlowerOnAverage(t *testing.T) {
 	}
 }
 
+func TestRunWinnerIsFewestIterationsNotFirstScheduled(t *testing.T) {
+	// Every walker solves, and the one with more iterations reports
+	// sooner, so wall-clock order is the reverse of iteration order.
+	// Z(n) must still be the min over walkers, with its walker index.
+	draw := func(r *xrand.Rand) int64 { return 1 + int64(r.Intn(1000)) }
+	runner := func(ctx context.Context, r *xrand.Rand) WalkResult {
+		it := draw(r)
+		time.Sleep(time.Duration(1000-it) * 10 * time.Microsecond)
+		return WalkResult{Iterations: it, Solved: true}
+	}
+	for seed := uint64(0); seed < 5; seed++ {
+		out, err := Run(context.Background(), runner, Options{Walkers: 6, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := xrand.New(seed)
+		want, winner := int64(math.MaxInt64), -1
+		for w := 0; w < 6; w++ {
+			if it := draw(root.Split(uint64(w))); it < want {
+				want, winner = it, w
+			}
+		}
+		if out.Iterations != want || out.Winner != winner {
+			t.Errorf("seed %d: winner %d with %d iterations, want %d with %d",
+				seed, out.Winner, out.Iterations, winner, want)
+		}
+	}
+}
+
 func TestRunHonoursParentCancellation(t *testing.T) {
 	// Costas 16 is hard enough that cancellation wins the race.
 	factory := func() (csp.Problem, error) { return problems.New(problems.Costas, 16) }

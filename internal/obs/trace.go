@@ -9,7 +9,7 @@ import (
 // TraceHeader is the HTTP header a trace ID rides between the client,
 // the ingress replica, and every peer hop (replicate fan-out,
 // forward/failover, read-repair fetches, hint redelivery, anti-entropy
-// pulls, fit delegation). A request arriving with the header keeps its
+// pulls). A request arriving with the header keeps its
 // ID; one arriving without gets a fresh ID at ingress — so one client
 // request is one grep-able ID across the whole replica group, and the
 // response always carries the ID back to the client.

@@ -19,7 +19,8 @@
 //
 //	E[T(c)] = ( c − ∫₀ᶜ F(t) dt ) / F(c),
 //
-// and the package also provides the Luby universal restart sequence.
+// and the package also provides the terms of the Luby universal
+// restart sequence.
 package restart
 
 import (
@@ -116,33 +117,16 @@ func OptimalCutoff(d dist.Dist) (Optimum, error) {
 	return Optimum{Cutoff: c, Expected: e, Gain: meanY / e}, nil
 }
 
-// Luby returns the first n terms of the Luby universal restart
-// sequence 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,… which is within a log
+// LubyTerm returns the i-th term (1-based) of the Luby universal
+// restart sequence 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,… — within a log
 // factor of the optimal fixed-cutoff strategy without knowing the
-// distribution.
-func Luby(n int) []int64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := 1; i <= n; i++ {
-		out[i-1] = lubyTerm(i)
-	}
-	return out
-}
-
-// LubyTerm returns the i-th term (1-based) of the Luby sequence
-// without materializing a prefix — the per-attempt cutoff source for
-// the policy replay simulator, where attempt indices are unbounded.
+// distribution — without materializing a prefix: the per-attempt
+// cutoff source for the policy replay simulator, where attempt
+// indices are unbounded.
 func LubyTerm(i int) int64 {
 	if i < 1 {
 		return 1
 	}
-	return lubyTerm(i)
-}
-
-// lubyTerm computes the i-th term (1-based) of the Luby sequence.
-func lubyTerm(i int) int64 {
 	// If i = 2^k - 1, the term is 2^{k-1}; otherwise recurse on
 	// i - (2^{k-1} - 1) with k the largest power with 2^{k-1} ≤ i.
 	for k := uint(1); ; k++ {
@@ -150,26 +134,7 @@ func lubyTerm(i int) int64 {
 			return 1 << (k - 1)
 		}
 		if int64(i) < (1<<k)-1 {
-			return lubyTerm(i - (1 << (k - 1)) + 1)
+			return LubyTerm(i - (1 << (k - 1)) + 1)
 		}
 	}
-}
-
-// CompareMultiWalk contrasts the two uses of the same fitted
-// distribution: the expected speed-up of restarts at the optimal
-// cutoff versus the multi-walk speed-up G(n) on n cores.
-type Comparison struct {
-	RestartGain   float64 // sequential gain from optimal restarts
-	MultiWalkGain float64 // G(n) from the order-statistic model
-	Cores         int
-}
-
-// Compare computes both gains; multiWalkG must be the predictor's
-// G(n) for the same distribution.
-func Compare(d dist.Dist, multiWalkG float64, cores int) (Comparison, error) {
-	opt, err := OptimalCutoff(d)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return Comparison{RestartGain: opt.Gain, MultiWalkGain: multiWalkG, Cores: cores}, nil
 }

@@ -139,26 +139,12 @@ func TestExpectedRuntimeValidation(t *testing.T) {
 
 func TestLubySequence(t *testing.T) {
 	want := []int64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 1}
-	got := Luby(len(want))
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Luby[%d] = %d, want %d (full: %v)", i, got[i], want[i], got)
+		if got := LubyTerm(i + 1); got != want[i] {
+			t.Fatalf("LubyTerm(%d) = %d, want %d", i+1, got, want[i])
 		}
 	}
-	if Luby(0) != nil {
-		t.Error("Luby(0) should be nil")
-	}
-}
-
-func TestCompare(t *testing.T) {
-	d, _ := dist.NewExponential(0.01)
-	cmp, err := Compare(d, 16.0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Memoryless: restart gain 1; multi-walk gain as provided.
-	approx(t, cmp.RestartGain, 1, 1e-6, "exponential restart gain")
-	if cmp.MultiWalkGain != 16 || cmp.Cores != 16 {
-		t.Errorf("comparison fields: %+v", cmp)
+	if got := LubyTerm(0); got != 1 {
+		t.Errorf("LubyTerm(0) = %d, want 1 (indices clamp to the first term)", got)
 	}
 }

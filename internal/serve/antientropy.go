@@ -23,7 +23,7 @@ package serve
 //   - ids are content hashes, so "diverged" can only mean "missing"
 //     and the set difference *is* the repair plan — no vector clocks,
 //     no Merkle descent, no conflict resolution;
-//   - pulls verify bytes against the id before storing (fetchFromPeer),
+//   - pulls verify bytes against the id before storing (peekPeer),
 //     so a corrupt peer cannot poison the group, and they store through
 //     the normal fsync'd add path, so a pulled campaign is as durable
 //     as an uploaded one.
@@ -87,6 +87,11 @@ func (s *Server) antiEntropyRound(ctx context.Context) int {
 	// donor replicas' access logs attribute the traffic to this round.
 	ctx = obs.WithTrace(ctx, obs.NewTraceID())
 	start := time.Now()
+	// Counters move no later than the state they describe: the round
+	// counts as it starts and each pull before its copy is stored, so
+	// an observer who sees a pulled campaign also sees its round and
+	// its pull.
+	s.aeRounds.Add(1)
 	pulled := 0
 	for _, rg := range store.OwnedRanges(s.self, s.replicas, s.repl) {
 		local, err := store.BuildRangeDigest(s.store, rg, s.replicas, s.cfg.SketchK)
@@ -104,14 +109,23 @@ func (s *Server) antiEntropyRound(ctx context.Context) int {
 			got := 0
 			for _, id := range remote.MissingIDs(local) {
 				// Belt and braces: a confused peer must not plant ids
-				// outside the range it was asked about (fetchFromPeer
+				// outside the range it was asked about (peekPeer
 				// already rejects bytes that don't hash to the id).
 				if store.Owner(id, s.replicas) != rg {
 					continue
 				}
-				if e := s.fetchFromPeer(ctx, o, id); e != nil {
-					got++
+				c, canonical := s.peekPeer(ctx, o, id)
+				if c == nil {
+					continue
 				}
+				s.aePulled.Add(1)
+				s.met.aePulled.Inc()
+				if _, err := s.store.AddEncoded(id, canonical, c); err != nil {
+					s.logger.Warn("anti-entropy could not store a pulled campaign",
+						"id", id, "peer", o, "err", err, "trace", obs.Trace(ctx))
+					continue
+				}
+				got++
 			}
 			if got > 0 {
 				pulled += got
@@ -123,12 +137,9 @@ func (s *Server) antiEntropyRound(ctx context.Context) int {
 			}
 		}
 	}
-	s.aeRounds.Add(1)
 	d := time.Since(start)
 	s.met.aeRounds.With().Observe(d.Seconds())
 	if pulled > 0 {
-		s.aePulled.Add(int64(pulled))
-		s.met.aePulled.Add(int64(pulled))
 		// A pull means a copy had silently gone missing — worth a line.
 		// Converged rounds stay at debug so an idle group logs nothing.
 		s.logger.Info("anti-entropy pulled missing campaigns",

@@ -49,8 +49,11 @@ type metrics struct {
 	aeRounds *obs.HistogramVec // (no labels)
 	aePulled *obs.Counter
 
-	// Cross-replica fit single-flight outcomes.
-	fitShare *obs.CounterVec // event (hit | adopted | delegated | local)
+	// Campaign fits on this replica, from /v1/fit, /v1/predict and
+	// /v1/policy alike: computed (this call ran the fit), cached
+	// (served the entry's finished fit), or error (the fit failed,
+	// fresh or cached).
+	fitComputes *obs.CounterVec // event (computed | cached | error)
 
 	// Quorum shortfalls answered 503.
 	quorumShortfall *obs.CounterVec // kind (read | write)
@@ -88,8 +91,8 @@ func newMetrics() *metrics {
 			"Anti-entropy digest-exchange round duration, sketch-backed."),
 		aePulled: reg.Counter("lvserve_anti_entropy_pulled_total",
 			"Campaign copies pulled from peers by anti-entropy.").With(),
-		fitShare: reg.Counter("lvserve_fit_share_total",
-			"Cross-replica fit single-flight outcomes.", "event"),
+		fitComputes: reg.Counter("lvserve_fit_computes_total",
+			"Campaign fits on this replica, by outcome.", "event"),
 		quorumShortfall: reg.Counter("lvserve_quorum_shortfall_total",
 			"Reads or writes refused (503) for lack of a quorum.", "kind"),
 		policyComputes: reg.Counter("lvserve_policy_computes_total",
@@ -120,8 +123,7 @@ func (s *Server) registerGauges() {
 func routeLabel(path string) string {
 	switch path {
 	case "/v1/campaigns", "/v1/fit", "/v1/predict", "/v1/policy", "/v1/healthz",
-		"/v1/metrics", "/v1/internal/campaign", "/v1/internal/digest",
-		"/v1/internal/fit-cache":
+		"/v1/metrics", "/v1/internal/campaign", "/v1/internal/digest":
 		return path
 	}
 	return "other"

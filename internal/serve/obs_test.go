@@ -172,7 +172,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lvserve_hints_queue_depth",
 		"lvserve_anti_entropy_round_seconds",
 		"lvserve_anti_entropy_pulled_total",
-		"lvserve_fit_share_total",
+		"lvserve_fit_computes_total",
 		"lvserve_quorum_shortfall_total",
 		"lvserve_store_campaigns",
 		"lvserve_store_bytes",

@@ -57,8 +57,8 @@ func finitePtr(v float64) *float64 {
 // fitted law and validated by a seeded replay plus a bootstrap CI on
 // the campaign's own plug-in law. Owner-routed like every read; the
 // rendered body caches on the entry (single-flight), so one campaign
-// costs one table per replica — and the fit it builds on flows
-// through the same cross-process single-flight /v1/fit uses.
+// costs one table per replica — and the fit it builds on is the
+// owner's own, shared with /v1/fit and /v1/predict.
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
@@ -101,7 +101,7 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 // computePolicy renders the policy table body for an entry. Like
 // predict, the table is computed where the model lives (models do not
 // round-trip the wire); the fit underneath is single-flight per
-// process and shared across replicas, and the rendered bytes cache on
+// process, and the rendered bytes cache on
 // the entry, so the marginal cost of the table itself is paid once.
 // The replay and bootstrap claim a gate slot — they are the same
 // order of work as a fit and must not stampede past the worker bound.

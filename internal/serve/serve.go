@@ -70,11 +70,15 @@
 // what's missing — so a replica whose hint log was destroyed (which
 // OpenHints now quarantines rather than refusing to boot on)
 // converges in bounded rounds with no client traffic at all.
-// GET /v1/internal/digest serves the digests, GET
-// /v1/internal/fit-cache serves finished fit outcomes so the k owners
-// of a hot campaign burn at most one fit between them (see
-// fitshare.go), and /v1/healthz reports the quorum knobs, exchanger
-// progress and any hint-log quarantine alongside the breaker states.
+// GET /v1/internal/digest serves the digests, and /v1/healthz
+// reports the quorum knobs, exchanger progress and any hint-log
+// quarantine alongside the breaker states.
+//
+// Fits stay local: each owner fits a campaign at most once (the
+// per-process single-flight in store.Entry.Fit, shared by /v1/fit,
+// /v1/predict and /v1/policy), so the k owners of a hot campaign cost
+// at most k fits between them, and every owner renders the same
+// bytes.
 //
 // Peer traffic flows through a dedicated client rather than a bare
 // http.Client: per-endpoint timeouts (Config.PeerTimeout for
@@ -121,7 +125,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -230,9 +233,9 @@ type Config struct {
 	AntiEntropyInterval time.Duration
 	// Logger receives the daemon's structured logs: the per-request
 	// access log (with trace ID), peer breaker transitions, hint
-	// enqueue/drain events, anti-entropy rounds, fit delegations and
-	// shutdown. nil discards — the logging path still runs (so tests
-	// exercise exactly what production does), it just writes nowhere.
+	// enqueue/drain events, anti-entropy rounds and shutdown. nil
+	// discards — the logging path still runs (so tests exercise
+	// exactly what production does), it just writes nowhere.
 	// cmd/lvserve passes a real handler tagged with the replica slot.
 	Logger *slog.Logger
 }
@@ -266,11 +269,8 @@ type Server struct {
 	aeInterval time.Duration // anti-entropy round pause (0 = loop off)
 	aeStop     chan struct{} // closed by Shutdown
 	aeDone     chan struct{} // closed when the exchanger exits
-	aeRounds   atomic.Int64  // completed digest-exchange rounds
+	aeRounds   atomic.Int64  // digest-exchange rounds started
 	aePulled   atomic.Int64  // campaigns pulled by anti-entropy
-
-	fitProbe   sync.Mutex // guards fitProbing
-	fitProbing map[string]*fitShareCall
 }
 
 // New returns a Server with cfg applied over the defaults. The error
@@ -414,20 +414,19 @@ func New(cfg Config) (*Server, error) {
 		hints = store.NewHints()
 	}
 	s := &Server{
-		cfg:        cfg,
-		pred:       lasvegas.New(opts...),
-		store:      st,
-		gate:       store.NewGate(workers),
-		replicas:   replicas,
-		self:       cfg.ReplicaIndex,
-		repl:       repl,
-		peerc:      newPeerClient(peers, met, logger),
-		hints:      hints,
-		writeQ:     writeQ,
-		readQ:      readQ,
-		logger:     logger,
-		met:        met,
-		fitProbing: make(map[string]*fitShareCall),
+		cfg:      cfg,
+		pred:     lasvegas.New(opts...),
+		store:    st,
+		gate:     store.NewGate(workers),
+		replicas: replicas,
+		self:     cfg.ReplicaIndex,
+		repl:     repl,
+		peerc:    newPeerClient(peers, met, logger),
+		hints:    hints,
+		writeQ:   writeQ,
+		readQ:    readQ,
+		logger:   logger,
+		met:      met,
 	}
 	s.registerGauges()
 	if replicas > 1 {
@@ -510,7 +509,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/internal/campaign", s.handleInternalCampaign)
 	mux.HandleFunc("GET /v1/internal/digest", s.handleInternalDigest)
-	mux.HandleFunc("GET /v1/internal/fit-cache", s.handleInternalFitCache)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		trace := r.Header.Get(obs.TraceHeader)
@@ -702,11 +700,11 @@ type quorumHealth struct {
 type antiEntropyHealth struct {
 	// IntervalMillis is the pause between digest-exchange rounds.
 	IntervalMillis float64 `json:"interval_ms"`
-	// Rounds counts completed exchange rounds since boot.
+	// Rounds counts exchange rounds started since boot.
 	Rounds int64 `json:"rounds"`
 	// Pulled counts campaigns this replica pulled from peers via
 	// anti-entropy (repairs it would otherwise have waited on a read
-	// or a hint for).
+	// or a hint for), each counted once verified, before it is stored.
 	Pulled int64 `json:"pulled"`
 }
 
@@ -1058,13 +1056,6 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	// Before burning a fit, see whether another owner already has one
-	// to adopt (or whether the primary owner should be the only
-	// replica computing it).
-	if a := s.sharedFit(r.Context(), r.Header, e, owners); a != nil {
-		a.write(w)
-		return
-	}
 	cands, best, err := s.fit(r.Context(), e)
 	if err != nil {
 		s.writeError(w, err)
@@ -1074,9 +1065,8 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeFitResponse renders a fit outcome exactly as POST /v1/fit
-// answers it. The internal fit-cache endpoint shares this renderer,
-// which is what makes an adopted peer response byte-identical to a
-// locally computed one.
+// answers it — deterministically, so every owner answers the same
+// bytes for a campaign.
 func (s *Server) writeFitResponse(w http.ResponseWriter, e *store.Entry, cands []lasvegas.Candidate, best *lasvegas.Model) {
 	resp := fitResponse{ID: e.ID, Problem: e.Campaign.Problem, Best: best}
 	for _, c := range cands {
@@ -1119,11 +1109,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	// Predict needs the Model itself (its queries are computed here,
-	// not rendered elsewhere), and models don't round-trip the wire —
-	// so predict always fits locally. The fit is still single-flight
-	// per process, and a /v1/fit on the same id adopts across
-	// replicas, so the fleet burns at most one fit per owner.
+	// Predict queries the Model itself. The fit is single-flight per
+	// process and shared with /v1/fit and /v1/policy, so each owner
+	// fits a campaign at most once.
 	_, model, err := s.fit(r.Context(), e)
 	if err != nil {
 		s.writeError(w, err)
@@ -1238,11 +1226,23 @@ func (s *Server) handleInternalCampaign(w http.ResponseWriter, r *http.Request) 
 
 // --- plumbing -----------------------------------------------------
 
-// fit runs the entry's single-flight fit on the shared worker gate.
+// fit runs the entry's single-flight fit on the shared worker gate
+// and counts its outcome, before the caller writes any response.
 func (s *Server) fit(ctx context.Context, e *store.Entry) ([]lasvegas.Candidate, *lasvegas.Model, error) {
-	return e.Fit(ctx, s.gate, func(c *lasvegas.Campaign) ([]lasvegas.Candidate, *lasvegas.Model, error) {
+	computed := false
+	cands, model, err := e.Fit(ctx, s.gate, func(c *lasvegas.Campaign) ([]lasvegas.Candidate, *lasvegas.Model, error) {
+		computed = true
 		return fitCampaign(s.pred, c)
 	})
+	switch {
+	case err != nil:
+		s.met.fitComputes.With("error").Inc()
+	case computed:
+		s.met.fitComputes.With("computed").Inc()
+	default:
+		s.met.fitComputes.With("cached").Inc()
+	}
+	return cands, model, err
 }
 
 // fitCampaign fits every candidate family once and selects the best

@@ -39,7 +39,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lasvegas"
@@ -246,40 +245,7 @@ type Entry struct {
 
 	fit    fitCell
 	policy policyCell
-
-	// adopted caches an opaque serve-layer value (a peer's rendered
-	// fit response) adopted instead of computing locally; it rides the
-	// entry so it evicts with the campaign.
-	adopted atomic.Value
 }
-
-// FitOutcome is a completed fit's cached result, as reported by
-// CachedFit. Exactly one of (Model, Err) describes the outcome: a
-// deterministic fit error (ErrCensored, ErrNoAcceptableFit) is itself
-// a cacheable outcome.
-type FitOutcome struct {
-	Candidates []lasvegas.Candidate
-	Model      *lasvegas.Model
-	Err        error
-}
-
-// CachedFit reports the entry's fit outcome without triggering or
-// waiting for a computation: ok is false while no fit has completed,
-// including while one is in flight. The serve layer answers peer
-// fit-cache probes from this, so a probe can never be the thing that
-// makes a replica burn a fit.
-func (e *Entry) CachedFit() (out FitOutcome, ok bool) {
-	return e.fit.peek()
-}
-
-// AdoptFit attaches an opaque non-nil value (the serve layer stores a
-// peer's rendered fit response) to the entry. Adoption is
-// last-writer-wins; fits being deterministic, every writer stores
-// equivalent bytes.
-func (e *Entry) AdoptFit(v any) { e.adopted.Store(v) }
-
-// AdoptedFit returns the value stored by AdoptFit, or nil.
-func (e *Entry) AdoptedFit() any { return e.adopted.Load() }
 
 // Fit returns the entry's fit, computing it at most once
 // (single-flight): concurrent callers for one campaign block on the
@@ -322,20 +288,6 @@ func (f *fitCell) do(ctx context.Context, gate Gate, c *lasvegas.Campaign, fn Fi
 		return nil, nil, f.fitErr
 	}
 	return f.cands, f.model, nil
-}
-
-// peek reports the cell's outcome if (and only if) a fit has
-// completed. TryLock rather than Lock: a cell mid-computation is
-// "nothing cached yet", not something worth blocking on.
-func (f *fitCell) peek() (FitOutcome, bool) {
-	if !f.mu.TryLock() {
-		return FitOutcome{}, false
-	}
-	defer f.mu.Unlock()
-	if !f.done {
-		return FitOutcome{}, false
-	}
-	return FitOutcome{Candidates: f.cands, Model: f.model, Err: f.fitErr}, true
 }
 
 // Policy returns the entry's restart-policy value, computing it at

@@ -442,7 +442,7 @@ for fam in \
     lvserve_hints_queue_depth \
     lvserve_anti_entropy_round_seconds \
     lvserve_anti_entropy_pulled_total \
-    lvserve_fit_share_total \
+    lvserve_fit_computes_total \
     lvserve_policy_computes_total \
     lvserve_quorum_shortfall_total \
     lvserve_store_campaigns \
