@@ -7,6 +7,7 @@
 package lasvegas_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"lasvegas/internal/multiwalk"
 	"lasvegas/internal/orderstat"
 	"lasvegas/internal/paperdata"
+	"lasvegas/internal/policy"
 	"lasvegas/internal/problems"
 	"lasvegas/internal/xrand"
 )
@@ -250,30 +252,96 @@ func BenchmarkSketchIngest(b *testing.B) {
 }
 
 // BenchmarkPolicyTable measures one cold restart-policy table on the
-// committed 200-run Costas campaign: four closed-form prices, a
-// seeded replay per policy, and a bootstrap CI per policy — the work
-// GET /v1/policy does once per campaign before its bytes cache.
+// committed 200-run Costas campaign — the work GET /v1/policy does
+// once per campaign before its bytes cache — and its three layers:
+//
+//   - panel: the four closed-form prices under the fitted law;
+//   - simulate: a seeded 3000-rep replay per policy on the plug-in law;
+//   - bootstrap: a 200-resample CI per policy on the plug-in law;
+//   - table: the whole PolicyTable.
+//
+// The empirical fixture is the campaign as uploaded in JSON; the
+// sketch fixture is the same runs sent through WriteNDJSON and
+// ReadCampaignNDJSON, the sketch-backed campaign lvserve stores for an
+// NDJSON upload.
 func BenchmarkPolicyTable(b *testing.B) {
-	c, err := lasvegas.LoadCampaign("testdata/campaign_costas13.json")
+	raw, err := lasvegas.LoadCampaign("testdata/campaign_costas13.json")
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred := lasvegas.New(lasvegas.WithAlpha(0.05), lasvegas.WithCensoredFit(true))
-	best, err := pred.Fit(c)
+	var buf bytes.Buffer
+	if err := raw.WriteNDJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	sketched, err := lasvegas.ReadCampaignNDJSON(&buf, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := pred.PolicyTable(ctx, c, best)
+	for _, fx := range []struct {
+		name string
+		c    *lasvegas.Campaign
+	}{{"empirical", raw}, {"sketch", sketched}} {
+		pred := lasvegas.New(lasvegas.WithAlpha(0.05), lasvegas.WithCensoredFit(true))
+		best, err := pred.Fit(fx.c)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if table.Winner == "" {
-			b.Fatal("empty winner")
+		var plug dist.Dist
+		if fx.c.HasSketch() {
+			plug, err = fx.c.RuntimeSketch(0)
+		} else {
+			plug, err = dist.NewEmpirical(fx.c.Iterations)
 		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals, err := best.Policies()
+		if err != nil {
+			b.Fatal(err)
+		}
+		pols := make([]policy.Policy, len(evals))
+		for i, e := range evals {
+			pols[i] = policy.Policy{Kind: policy.Kind(e.Policy), Cutoff: e.Cutoff, Unit: e.Unit}
+		}
+		n := fx.c.TotalRuns()
+		b.Run(fx.name+"/panel", func(b *testing.B) {
+			for b.Loop() {
+				if _, err := best.Policies(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fx.name+"/simulate", func(b *testing.B) {
+			for b.Loop() {
+				for i, p := range pols {
+					if _, err := policy.Simulate(plug, p, 3000, uint64(i)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(fx.name+"/bootstrap", func(b *testing.B) {
+			for b.Loop() {
+				for i, p := range pols {
+					if _, err := policy.BootstrapCI(plug, n, p, 200, 0.95, uint64(i)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(fx.name+"/table", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				table, err := pred.PolicyTable(ctx, fx.c, best)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if table.Winner == "" {
+					b.Fatal("empty winner")
+				}
+			}
+		})
 	}
 }
 

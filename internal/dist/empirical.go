@@ -61,9 +61,6 @@ func NewEmpirical(sample []float64) (*Empirical, error) {
 // Len returns the sample size m.
 func (e *Empirical) Len() int { return len(e.sorted) }
 
-// Sorted returns the sorted backing array; callers must not mutate it.
-func (e *Empirical) Sorted() []float64 { return e.sorted }
-
 // CDF implements Dist: the fraction of observations <= x, by binary
 // search on the sorted backing array.
 func (e *Empirical) CDF(x float64) float64 {
@@ -91,12 +88,22 @@ func (e *Empirical) PDF(x float64) float64 {
 // Quantile implements Dist: the inverse ECDF Q(p) = x_(⌈p·m⌉),
 // computed in O(1) on the sorted array.
 func (e *Empirical) Quantile(p float64) float64 {
+	return e.sorted[e.AtomIndex(p)]
+}
+
+// Atoms returns the ascending support points of the step law (the
+// sorted backing array); callers must not mutate it.
+func (e *Empirical) Atoms() []float64 { return e.sorted }
+
+// AtomIndex returns the index into Atoms that Quantile(p) resolves to:
+// ⌈p·m⌉−1, clamped to [0, m−1].
+func (e *Empirical) AtomIndex(p float64) int {
 	m := len(e.sorted)
 	if p <= 0 {
-		return e.sorted[0]
+		return 0
 	}
 	if p >= 1 {
-		return e.sorted[m-1]
+		return m - 1
 	}
 	idx := int(math.Ceil(p*float64(m))) - 1
 	if idx < 0 {
@@ -105,7 +112,7 @@ func (e *Empirical) Quantile(p float64) float64 {
 	if idx >= m {
 		idx = m - 1
 	}
-	return e.sorted[idx]
+	return idx
 }
 
 // Mean implements Dist (precomputed).

@@ -23,13 +23,16 @@
 // and BootstrapCI): a deterministic seeded replay that re-runs the
 // observed runtimes under each schedule with restart truncation, and a
 // resampling bootstrap that prices each resample exactly to yield a CI
-// on the policy's expected runtime.
+// on the policy's expected runtime. The bootstrap resamples step laws
+// only, and builds each sorted resample of n draws from m atoms by
+// counting atom indices, O(n + m), without sorting values.
 package policy
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"lasvegas/internal/dist"
@@ -55,20 +58,6 @@ type Policy struct {
 	Kind   Kind
 	Cutoff float64
 	Unit   float64
-}
-
-// CutoffAt returns the cutoff for the i-th attempt (1-based) —
-// constant for fixed schedules, the scaled Luby term for Luby, +Inf
-// for no-restart.
-func (p Policy) CutoffAt(i int) float64 {
-	switch p.Kind {
-	case FixedCutoff, FittedOptimal:
-		return p.Cutoff
-	case Luby:
-		return p.Unit * float64(restart.LubyTerm(i))
-	default:
-		return math.Inf(1)
-	}
 }
 
 func (p Policy) validate() error {
@@ -179,29 +168,50 @@ const (
 	lubyMaxRuns = 1 << 20
 )
 
+// lubySeq walks the Luby sequence 1,1,2,1,1,2,4,1,… one term per
+// call by Knuth's reluctant doubling: the pair (u, v) steps to
+// (u+1, 1) when u&−u == v and to (u, 2v) otherwise, and v is the
+// term. O(1) per term; start from lubySeq{1, 1}.
+type lubySeq struct{ u, v uint64 }
+
+// next returns log2 of the current term and advances.
+func (s *lubySeq) next() int {
+	k := bits.TrailingZeros64(s.v)
+	if s.u&-s.u == s.v {
+		s.u, s.v = s.u+1, 1
+	} else {
+		s.v <<= 1
+	}
+	return k
+}
+
 // lubyExpected prices the Luby schedule by the exact series
 //
 //	E[T] = Σᵢ ( ∏_{j<i} (1−F(cⱼ)) ) · E[min(Y,cᵢ)],  cᵢ = u·luby(i),
 //
-// memoizing E[min(Y,c)] and F(c) per distinct cutoff — the Luby
-// sequence only ever visits log-many distinct values, so the series
-// costs O(runs) lookups plus O(log) truncated means.
+// memoizing E[min(Y,c)] and F(c) per distinct cutoff, indexed by the
+// term's log2 — the Luby sequence only ever visits log-many distinct
+// values, so the series costs O(runs) lookups plus O(log) truncated
+// means.
 func lubyExpected(l law, u float64) (float64, error) {
-	type memo struct{ tm, fc float64 }
-	cache := make(map[int64]memo, 24)
+	type memo struct {
+		tm, fc float64
+		ok     bool
+	}
+	var cache [64]memo
+	seq := lubySeq{1, 1}
 	survival := 1.0
 	var total float64
 	for i := 1; i <= lubyMaxRuns; i++ {
-		term := restart.LubyTerm(i)
-		m, ok := cache[term]
-		if !ok {
-			c := u * float64(term)
+		k := seq.next()
+		m := &cache[k]
+		if !m.ok {
+			c := u * float64(uint64(1)<<k)
 			tm, err := l.truncMean(c)
 			if err != nil {
 				return 0, err
 			}
-			m = memo{tm: tm, fc: l.cdf(c)}
-			cache[term] = m
+			*m = memo{tm: tm, fc: l.cdf(c), ok: true}
 		}
 		total += survival * m.tm
 		survival *= 1 - m.fc

@@ -227,7 +227,7 @@ func TestStepLawPricingExact(t *testing.T) {
 		c := e.Quantile(q)
 		// Brute force E[min(Y,c)]/F(c).
 		var tm, below float64
-		for _, x := range e.Sorted() {
+		for _, x := range e.Atoms() {
 			if x <= c {
 				tm += x
 				below++

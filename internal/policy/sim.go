@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"lasvegas/internal/dist"
@@ -37,13 +38,21 @@ func Simulate(d dist.Dist, p Policy, reps int, seed uint64) (SimResult, error) {
 	if err := p.validate(); err != nil {
 		return SimResult{}, err
 	}
+	fixed := math.Inf(1) // no-restart
+	if p.Kind == FixedCutoff || p.Kind == FittedOptimal {
+		fixed = p.Cutoff
+	}
 	r := xrand.New(seed)
 	var sum, sumsq float64
 	for rep := 0; rep < reps; rep++ {
 		var t float64
 		done := false
+		seq := lubySeq{1, 1}
 		for i := 1; i <= maxAttempts; i++ {
-			c := p.CutoffAt(i)
+			c := fixed
+			if p.Kind == Luby {
+				c = p.Unit * float64(uint64(1)<<seq.next())
+			}
 			y := d.Quantile(r.Float64Open())
 			if y <= c {
 				t += y
@@ -81,6 +90,15 @@ type CI struct {
 // binding uncertainty.
 const maxBootstrapSample = 2048
 
+// stepSource is a step law whose quantile function reads off an atom:
+// Atoms is ascending and Quantile(p) == Atoms()[AtomIndex(p)] for
+// 0 < p < 1. dist.Empirical, survival.KaplanMeier and sketch.Sketch
+// implement it — every plug-in law.
+type stepSource interface {
+	Atoms() []float64
+	AtomIndex(p float64) int
+}
+
 // BootstrapCI prices policy p on `resamples` bootstrap resamples of
 // size n drawn from src by inverse CDF (with replacement — the
 // standard bootstrap when src is the campaign's Empirical law) and
@@ -89,9 +107,24 @@ const maxBootstrapSample = 2048
 // sampling noise in the *price* of a committed schedule, not in the
 // schedule choice. Each resample is priced exactly via its own step
 // law, never by quadrature.
+//
+// src must be a step law (see stepSource); any other law is an error.
+// A resample is built without sorting values: each draw's atom index
+// is counted, and expanding the counts in atom order gives the sorted
+// resample in O(n + m) for m atoms (the campaign's runs, or a
+// sketch's retained items). Past 32 atoms per draw the indices are
+// sorted instead, so a million-run campaign still costs O(n log n).
 func BootstrapCI(src dist.Dist, n int, p Policy, resamples int, level float64, seed uint64) (CI, error) {
 	if src == nil {
 		return CI{}, errors.New("policy: nil distribution")
+	}
+	step, ok := src.(stepSource)
+	if !ok {
+		return CI{}, fmt.Errorf("policy: bootstrap source %v is not a step law", src)
+	}
+	atoms := step.Atoms()
+	if len(atoms) == 0 {
+		return CI{}, errors.New("policy: bootstrap source has no atoms")
 	}
 	if n <= 0 {
 		return CI{}, fmt.Errorf("policy: bootstrap sample size %d", n)
@@ -110,12 +143,11 @@ func BootstrapCI(src dist.Dist, n int, p Policy, resamples int, level float64, s
 	}
 	r := xrand.New(seed)
 	prices := make([]float64, resamples)
+	idx := make([]int32, n)
+	counts := make([]int32, len(atoms))
 	xs := make([]float64, n)
 	for b := 0; b < resamples; b++ {
-		for i := range xs {
-			xs[i] = src.Quantile(r.Float64Open())
-		}
-		sort.Float64s(xs)
+		resample(step, atoms, r, idx, counts, xs)
 		v, err := price(stepLaw{xs}, p)
 		if err != nil {
 			// Only the Luby series can error on a step law (unit
@@ -132,6 +164,42 @@ func BootstrapCI(src dist.Dist, n int, p Policy, resamples int, level float64, s
 		Hi:    prices[percentileIndex(1-alpha, resamples)],
 		Level: level,
 	}, nil
+}
+
+// countLimit bounds the atoms per draw for which resample counts:
+// walking m counts costs about as much as sorting n indices at
+// m = 32·n (measured at 200 and 2048 draws), and more beyond.
+const countLimit = 32
+
+// resample fills xs with one bootstrap resample of step, in ascending
+// order: len(xs) inverse-CDF draws, as atom indices. Few atoms per draw
+// are counted and the counts expanded in atom order, O(n + m); many
+// are sorted as indices, O(n log n) whatever m is. Either gives what
+// sorting the drawn values gives, since atoms ascend and a sorted
+// multiset of non-NaN floats is unique. idx (len(xs)) and counts
+// (len(atoms), all zero) are scratch; counts is left zeroed.
+func resample(step stepSource, atoms []float64, r *xrand.Rand, idx, counts []int32, xs []float64) {
+	for i := range idx {
+		idx[i] = int32(step.AtomIndex(r.Float64Open()))
+	}
+	if len(atoms) > countLimit*len(xs) {
+		slices.Sort(idx)
+		for i, j := range idx {
+			xs[i] = atoms[j]
+		}
+		return
+	}
+	for _, j := range idx {
+		counts[j]++
+	}
+	i := 0
+	for j, c := range counts {
+		for range c {
+			xs[i] = atoms[j]
+			i++
+		}
+	}
+	clear(counts)
 }
 
 func percentileIndex(q float64, m int) int {

@@ -17,10 +17,7 @@
 // The expected runtime of the fixed-cutoff-c restart strategy is the
 // classical Luby–Sinclair–Zuckerman formula
 //
-//	E[T(c)] = ( c − ∫₀ᶜ F(t) dt ) / F(c),
-//
-// and the package also provides the terms of the Luby universal
-// restart sequence.
+//	E[T(c)] = ( c − ∫₀ᶜ F(t) dt ) / F(c).
 package restart
 
 import (
@@ -115,26 +112,4 @@ func OptimalCutoff(d dist.Dist) (Optimum, error) {
 		return Optimum{Cutoff: math.Inf(1), Expected: meanY, Gain: 1}, nil
 	}
 	return Optimum{Cutoff: c, Expected: e, Gain: meanY / e}, nil
-}
-
-// LubyTerm returns the i-th term (1-based) of the Luby universal
-// restart sequence 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,… — within a log
-// factor of the optimal fixed-cutoff strategy without knowing the
-// distribution — without materializing a prefix: the per-attempt
-// cutoff source for the policy replay simulator, where attempt
-// indices are unbounded.
-func LubyTerm(i int) int64 {
-	if i < 1 {
-		return 1
-	}
-	// If i = 2^k - 1, the term is 2^{k-1}; otherwise recurse on
-	// i - (2^{k-1} - 1) with k the largest power with 2^{k-1} ≤ i.
-	for k := uint(1); ; k++ {
-		if int64(i) == (1<<k)-1 {
-			return 1 << (k - 1)
-		}
-		if int64(i) < (1<<k)-1 {
-			return LubyTerm(i - (1 << (k - 1)) + 1)
-		}
-	}
 }

@@ -136,15 +136,3 @@ func TestExpectedRuntimeValidation(t *testing.T) {
 		t.Errorf("cutoff below support: %v", err)
 	}
 }
-
-func TestLubySequence(t *testing.T) {
-	want := []int64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 1}
-	for i := range want {
-		if got := LubyTerm(i + 1); got != want[i] {
-			t.Fatalf("LubyTerm(%d) = %d, want %d", i+1, got, want[i])
-		}
-	}
-	if got := LubyTerm(0); got != 1 {
-		t.Errorf("LubyTerm(0) = %d, want 1 (indices clamp to the first term)", got)
-	}
-}

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -114,5 +115,24 @@ func FuzzSketchUnmarshal(f *testing.F) {
 		if err := again.UnmarshalJSON(out); err != nil {
 			t.Fatalf("accepted sketch's own bytes rejected: %v", err)
 		}
+	})
+}
+
+// FuzzSketchRankIndex checks the guide-table rank lookup against the
+// sort.Search reference on arbitrary streams (k=8, so compaction
+// starts early) and arbitrary ranks, given both raw and as a fraction
+// of n, plus every cumulative-weight boundary.
+func FuzzSketchRankIndex(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, 0.5)
+	f.Add(bytes.Repeat([]byte{7}, 100), 1.0)
+	f.Add(bytes.Repeat([]byte{9, 200, 33}, 40), 0.999)
+	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 300), 1e-9)
+
+	f.Fuzz(func(t *testing.T, data []byte, rank float64) {
+		s := fuzzSketch(t, data)
+		if s.N() == 0 {
+			return
+		}
+		checkRankIndex(t, s, rank, rank*float64(s.N()), math.Abs(rank))
 	})
 }

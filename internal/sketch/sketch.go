@@ -112,6 +112,12 @@ type view struct {
 	xs  []float64 // ascending retained values
 	ws  []float64 // weight of each value (2^level)
 	cum []float64 // cumulative weight; cum[len-1] == float64(n)
+
+	// guide[b] is the first index i with bucket(cum[i]) ≥ b, where
+	// bucket maps a rank monotonically onto len(cum) equal-width
+	// buckets of [0, n]: the start of rankIndex's forward scan.
+	guide []int32
+	scale float64 // buckets per unit of rank: len(cum)/n
 }
 
 // New returns an empty sketch with compactor capacity k (k ≤ 0 means
@@ -341,6 +347,7 @@ func (s *Sketch) view() *view {
 			run += v.ws[i]
 			v.cum[i] = run
 		}
+		v.buildGuide()
 		s.vw = v
 	})
 	return s.vw
@@ -414,11 +421,68 @@ func (s *Sketch) Quantile(p float64) float64 {
 // weight is ≥ the target rank.
 func (s *Sketch) quantileRank(rank float64) float64 {
 	v := s.view()
-	i := sort.Search(len(v.cum), func(i int) bool { return v.cum[i] >= rank })
-	if i >= len(v.xs) {
-		i = len(v.xs) - 1
+	return v.xs[v.rankIndex(rank)]
+}
+
+// bucket maps a rank onto the guide table. It is monotone in rank
+// (float multiplication and truncation both are), which is all
+// rankIndex's correctness rests on; NaN and out-of-range ranks clamp.
+func (v *view) bucket(rank float64) int {
+	b := int(rank * v.scale)
+	if b < 0 {
+		return 0
 	}
-	return v.xs[i]
+	if b >= len(v.guide) {
+		return len(v.guide) - 1
+	}
+	return b
+}
+
+// buildGuide fills guide in one O(len(cum)) pass over cum.
+func (v *view) buildGuide() {
+	if len(v.cum) == 0 {
+		return
+	}
+	v.guide = make([]int32, len(v.cum))
+	v.scale = float64(len(v.cum)) / v.cum[len(v.cum)-1]
+	i := 0
+	for b := range v.guide {
+		for i < len(v.cum) && v.bucket(v.cum[i]) < b {
+			i++
+		}
+		v.guide[b] = int32(i)
+	}
+}
+
+// rankIndex returns the first index i with cum[i] ≥ rank — the index
+// sort.Search finds — clamped to the last index. Every i below
+// guide[bucket(rank)] has bucket(cum[i]) < bucket(rank), hence
+// cum[i] < rank by monotonicity, so the forward scan starts at or
+// before the answer. It stops within the rank's bucket, which holds
+// one cumulative weight on average: expected O(1) steps for a
+// uniform rank.
+func (v *view) rankIndex(rank float64) int {
+	i := int(v.guide[v.bucket(rank)])
+	for i < len(v.cum) && !(v.cum[i] >= rank) {
+		i++
+	}
+	if i >= len(v.cum) {
+		i = len(v.cum) - 1
+	}
+	return i
+}
+
+// Atoms returns the ascending retained values, the support points of
+// the sketched step law (ties across levels repeat); callers must not
+// mutate it. Empty for an empty sketch.
+func (s *Sketch) Atoms() []float64 { return s.view().xs }
+
+// AtomIndex returns the index into Atoms that Quantile(p) resolves to,
+// for 0 < p < 1 on a non-empty sketch. (Quantile(0) and Quantile(1)
+// are the tracked stream extremes, which compaction may have dropped
+// from Atoms.)
+func (s *Sketch) AtomIndex(p float64) int {
+	return s.view().rankIndex(p * float64(s.n))
 }
 
 // QuantileBatch implements dist.BatchQuantiler.

@@ -472,3 +472,53 @@ func TestString(t *testing.T) {
 		t.Fatalf("String() = %q", got)
 	}
 }
+
+// searchIndex is the binary-search rank lookup the guide table
+// replaces: the first index with cum ≥ rank, clamped to the last.
+func searchIndex(v *view, rank float64) int {
+	i := sort.Search(len(v.cum), func(i int) bool { return v.cum[i] >= rank })
+	if i >= len(v.cum) {
+		i = len(v.cum) - 1
+	}
+	return i
+}
+
+// checkRankIndex compares the guide-table lookup against searchIndex
+// on the given ranks plus every cumulative weight and its neighbours.
+func checkRankIndex(t *testing.T, s *Sketch, ranks ...float64) {
+	t.Helper()
+	v := s.view()
+	for _, c := range v.cum {
+		ranks = append(ranks, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)), c-0.5, c+0.5)
+	}
+	for _, rank := range ranks {
+		if got, want := v.rankIndex(rank), searchIndex(v, rank); got != want {
+			t.Fatalf("rank %v (n=%d, retained %d): guide index %d, sort.Search %d", rank, s.N(), len(v.cum), got, want)
+		}
+	}
+}
+
+// TestRankIndexMatchesSearch: on compacted sketches (weights > 1,
+// tied values) the guide-table lookup finds the index sort.Search
+// finds, for uniform ranks, ranks exactly on the cumulative-weight
+// boundaries, and out-of-range or NaN ranks.
+func TestRankIndexMatchesSearch(t *testing.T) {
+	for _, k := range []int{8, 32, DefaultK} {
+		s := mustNew(t, k)
+		r := xrand.New(uint64(k))
+		for i := 0; i < 20000; i++ {
+			if err := s.Add(math.Ceil(r.Exp() * 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Exact() {
+			t.Fatalf("k=%d: sketch did not compact", k)
+		}
+		W := float64(s.N())
+		ranks := []float64{0, -1, W, W + 1, 1e300, math.NaN(), math.Inf(1), math.Inf(-1)}
+		for i := 0; i < 10000; i++ {
+			ranks = append(ranks, r.Float64Open()*W)
+		}
+		checkRankIndex(t, s, ranks...)
+	}
+}

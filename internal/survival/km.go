@@ -49,7 +49,7 @@ type KaplanMeier struct {
 	cdf  []float64 // 1 - surv, exact i/m ratios on censoring-free prefixes
 	m    int
 	ev   int     // number of events (uncensored observations)
-	lo   float64 // smallest event value (support left edge)
+	lo   int     // index of the first event (support left edge)
 	tail float64 // Ŝ at the largest observation before the Efron drop
 
 	mean, vr float64
@@ -83,12 +83,11 @@ func NewKaplanMeier(values []float64, censored []bool) (*KaplanMeier, error) {
 	mf := float64(m)
 	s := 1.0
 	seenEvents, seenCensored := 0, false
-	firstEvent := math.NaN()
 	for i, o := range sorted {
 		k.xs[i] = o.x
 		if !o.censored {
 			if seenEvents == 0 {
-				firstEvent = o.x
+				k.lo = i
 			}
 			seenEvents++
 			if seenCensored {
@@ -107,7 +106,6 @@ func NewKaplanMeier(values []float64, censored []bool) (*KaplanMeier, error) {
 			k.cdf[i] = float64(i+1) / mf
 		}
 	}
-	k.lo = firstEvent
 	// Efron tail: drop the curve to zero at the largest observation
 	// so the law is proper and every moment below is finite.
 	k.tail = k.surv[m-1]
@@ -195,12 +193,22 @@ func (k *KaplanMeier) PDF(x float64) float64 {
 // censoring-free sample this is dist.Empirical's O(1) index formula;
 // otherwise a binary search over the precomputed CDF steps.
 func (k *KaplanMeier) Quantile(p float64) float64 {
+	return k.xs[k.AtomIndex(p)]
+}
+
+// Atoms returns the ascending observations the step law sits on
+// (censored ones carry no mass); callers must not mutate it.
+func (k *KaplanMeier) Atoms() []float64 { return k.xs }
+
+// AtomIndex returns the index into Atoms that Quantile(p) resolves to.
+// p ≤ 0 maps to the first event, the support's left edge.
+func (k *KaplanMeier) AtomIndex(p float64) int {
 	if k.ev == k.m {
 		if p <= 0 {
-			return k.xs[0]
+			return 0
 		}
 		if p >= 1 {
-			return k.xs[k.m-1]
+			return k.m - 1
 		}
 		idx := int(math.Ceil(p*float64(k.m))) - 1
 		if idx < 0 {
@@ -209,19 +217,18 @@ func (k *KaplanMeier) Quantile(p float64) float64 {
 		if idx >= k.m {
 			idx = k.m - 1
 		}
-		return k.xs[idx]
+		return idx
 	}
 	if p <= 0 {
 		return k.lo
 	}
 	if p >= 1 {
-		return k.xs[k.m-1]
+		return k.m - 1
 	}
 	// cdf is non-decreasing with cdf[m-1] = 1, so the search always
 	// lands; censored entries repeat their predecessor's value, so
 	// the first hit is an event (or the Efron-forced last step).
-	i := sort.Search(k.m, func(i int) bool { return k.cdf[i] >= p })
-	return k.xs[i]
+	return sort.Search(k.m, func(i int) bool { return k.cdf[i] >= p })
 }
 
 // Mean implements dist.Dist: the restricted mean survival time
@@ -244,7 +251,7 @@ func (k *KaplanMeier) Sample(r *xrand.Rand) float64 {
 // Support implements dist.Dist: the smallest event value to the
 // largest observation.
 func (k *KaplanMeier) Support() (float64, float64) {
-	return k.lo, k.xs[k.m-1]
+	return k.xs[k.lo], k.xs[k.m-1]
 }
 
 // String implements dist.Dist.
